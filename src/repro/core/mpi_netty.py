@@ -213,9 +213,9 @@ class MpiBasicEventLoop(EventLoop):
         # park costs O(sources fired since last park), not O(sources).
         self._park_ev: "Event | None" = None
         self._park_waiters: dict = {}
-        # (channel, binding, tag) rows mirroring mpi_channels; rebuilt
-        # lazily when a bind/unbind invalidates it (order must match —
-        # the iprobe drain order is simulation-visible).
+        # (channel, peer_rank, tag, context_id) rows mirroring
+        # mpi_channels; rebuilt lazily when a bind/unbind invalidates it
+        # (order must match — the iprobe drain order is simulation-visible).
         self._poll_cache: list = []
         self._poll_dirty = True
         self._endpoint = None
@@ -247,21 +247,28 @@ class MpiBasicEventLoop(EventLoop):
             ev.add_callback(lambda e, k=key: self._on_park_signal(k, e))
 
     def _poll_rows(self) -> list:
-        """The (channel, binding, tag) drain list, cached across rounds.
+        """The (channel, peer_rank, tag, context_id) drain list, cached
+        across rounds.
 
+        The binding's route is resolved to plain ints once per rebuild; a
+        channel without a binding or tag keeps its row (the order is
+        simulation-visible) with ``tag`` None, and is skipped by callers.
         ``channel_inactive`` removes channels from ``mpi_channels``
         directly, so a length mismatch also invalidates the cache.
         """
         rows = self._poll_cache
         if self._poll_dirty or len(rows) != len(self.mpi_channels):
-            rows = self._poll_cache = [
-                (
-                    channel,
-                    channel.attributes.get(ATTR_BINDING),
-                    channel.attributes.get(ATTR_TAG),
-                )
-                for channel in self.mpi_channels
-            ]
+            rows = []
+            for channel in self.mpi_channels:
+                binding = channel.attributes.get(ATTR_BINDING)
+                tag = channel.attributes.get(ATTR_TAG)
+                if binding is None or tag is None:
+                    rows.append((channel, None, None, None))
+                else:
+                    rows.append(
+                        (channel, binding.peer_rank, tag, binding.context_id)
+                    )
+            self._poll_cache = rows
             self._poll_dirty = False
         return rows
 
@@ -302,21 +309,17 @@ class MpiBasicEventLoop(EventLoop):
                 endpoint = self._endpoint = getattr(self, "mpi_endpoint", None)
             if endpoint is not None:
                 matching = endpoint.proc.matching
-                for channel, binding, tag in self._poll_rows():
+                for channel, peer, tag, context_id in self._poll_rows():
                     if not channel.active:
                         self.mpi_channels.remove(channel)
                         self._poll_dirty = True
                         continue
-                    if binding is None or tag is None:
+                    if tag is None:
                         continue
-                    while matching.iprobe(
-                        binding.peer_rank, tag, binding.context_id
-                    ):
+                    while matching.iprobe(peer, tag, context_id):
                         self.iprobe_hits += 1
                         progressed = True
-                        req = endpoint.proc._irecv(
-                            binding.peer_rank, tag, binding.context_id
-                        )
+                        req = endpoint.proc._irecv(peer, tag, context_id)
                         try:
                             frame = yield from req.wait()
                         except MPIError as exc:
@@ -375,14 +378,14 @@ class MpiBasicEventLoop(EventLoop):
             endpoint = self._endpoint = getattr(self, "mpi_endpoint", None)
         if endpoint is not None:
             matching = endpoint.proc.matching
-            for channel, binding, tag in self._poll_rows():
-                if binding is None or tag is None:
+            for channel, peer, tag, context_id in self._poll_rows():
+                if tag is None:
                     continue
                 arm(
                     id(channel),
                     channel,
-                    lambda m=matching, b=binding, t=tag: m.probe_event(
-                        b.peer_rank, t, b.context_id
+                    lambda m=matching, p=peer, t=tag, c=context_id: m.probe_event(
+                        p, t, c
                     ),
                 )
         arm("tasks", None, self.tasks.when_nonempty)

@@ -101,6 +101,18 @@ class WorkloadProfile:
         return self.n_executors * self.cores_per_executor
 
 
+def check_profile_args(n_workers: int, nominal_bytes: float, fidelity: float) -> None:
+    """Reject profile-builder inputs that would fail deep in the simulation
+    (negative bytes become negative timeout delays) or silently produce a
+    meaningless job (``fidelity=0`` simulates almost no work)."""
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    if nominal_bytes < 0:
+        raise ValueError(f"nominal_bytes must be >= 0, got {nominal_bytes}")
+    if not 0.0 < fidelity <= 1.0:
+        raise ValueError(f"fidelity must be in (0, 1], got {fidelity}")
+
+
 def _spread(total: float, n: int, cv: float, seed: int) -> np.ndarray:
     """Split ``total`` into ``n`` parts with coefficient-of-variation ``cv``.
 

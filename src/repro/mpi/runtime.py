@@ -157,13 +157,13 @@ class MPIProcess:
             req.event.fail(exc)
             return req
 
-        def _run() -> Generator:
-            yield from self._send(
+        proc = self.env.process(
+            self._send(
                 dst_gid, src_rank, context_id, tag, payload, size,
                 trace_ctx=trace_ctx,
-            )
-
-        proc = self.env.process(_run(), name=f"isend:{self.name}")
+            ),
+            name=f"isend:{self.name}",
+        )
         proc.add_callback(
             lambda ev: req.event.succeed() if ev.ok else req.event.fail(ev.value)
         )

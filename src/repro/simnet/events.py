@@ -16,13 +16,14 @@ Design notes:
   returns (value = the generator's return value) — processes can wait on
   each other, which is how ``join`` semantics work everywhere above.
 * Determinism: events scheduled for the same timestamp fire in scheduling
-  order (a monotone sequence number breaks heap ties), so simulations are
-  exactly reproducible.
+  order, so simulations are exactly reproducible. Events due at a later
+  instant wait in the engine's heap (a monotone sequence number breaks
+  ties); events due at the current instant go to its FIFO ready lane
+  (``SimEngine._ready``) and skip the heap — see :mod:`repro.simnet.engine`.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Sentinel distinguishing "not yet triggered" from a None value.
 _PENDING = object()
+_new_event = object.__new__
 
 
 class SimError(RuntimeError):
@@ -86,9 +88,7 @@ class Event:
             raise SimError(f"event {self!r} already triggered")
         self._ok = True
         self._value = value
-        env = self.env
-        env._seq += 1
-        heappush(env._heap, (env.now, env._seq, self))
+        self.env._ready.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -99,9 +99,7 @@ class Event:
             raise TypeError(f"fail() needs an exception, got {exc!r}")
         self._ok = False
         self._value = exc
-        env = self.env
-        env._seq += 1
-        heappush(env._heap, (env.now, env._seq, self))
+        self.env._ready.append(self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -127,10 +125,11 @@ class Timeout(Event):
     """An event that triggers ``delay`` simulated seconds in the future.
 
     Timeouts are by far the most-allocated event type (every simulated
-    cost charge is one), so the engine keeps a free list: :meth:`_reuse`
-    re-initialises a recycled instance in place of ``__init__``.  A
-    pending timeout can also be cancelled via ``SimEngine.cancel`` — the
-    ``_dead`` flag tombstones its heap entry, and its callbacks never run.
+    cost charge is one), so the engine keeps a free list:
+    ``SimEngine.timeout`` re-initialises a recycled instance in place of
+    ``__init__``. A pending timeout can also be cancelled via
+    ``SimEngine.cancel`` — the ``_dead`` flag tombstones its queue entry,
+    and its callbacks never run.
     """
 
     __slots__ = ("delay", "_dead")
@@ -144,36 +143,16 @@ class Timeout(Event):
         self._value = value
         self.delay = delay
         self._dead = False
-        env._seq += 1
-        heappush(env._heap, (env.now + delay, env._seq, self))
-
-    def _reuse(self, delay: float, value: Any = None) -> "Timeout":
-        """Re-initialise a pooled instance (same contract as ``__init__``)."""
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        self.callbacks = []
-        self._ok = True
-        self._value = value
-        self.delay = delay
-        self._dead = False
-        env = self.env
-        env._seq += 1
-        heappush(env._heap, (env.now + delay, env._seq, self))
-        return self
+        env._schedule(self, delay)
 
 
 class Initialize(Event):
-    """Internal: kicks off a new process on the next scheduler step."""
+    """Internal: kicks off a new process on the next scheduler step.
+
+    Built inline by :class:`Process` (``__new__`` plus slot stores).
+    """
 
     __slots__ = ()
-
-    def __init__(self, env: "SimEngine") -> None:
-        self.env = env
-        self.callbacks = []
-        self._ok = True
-        self._value = None
-        env._seq += 1
-        heappush(env._heap, (env.now, env._seq, self))
 
 
 class Process(Event):
@@ -181,9 +160,14 @@ class Process(Event):
 
     The process is an event: it triggers with the generator's return value,
     or fails with the exception that escaped the generator.
+
+    ``_resume_cb`` caches the bound ``_resume`` (one bound-method object
+    per process instead of one per wait). It is a Process -> bound method
+    -> Process reference cycle, so it is cleared when the process finishes:
+    left alive, every finished process waits for the cyclic GC.
     """
 
-    __slots__ = ("gen", "name", "_target", "_interrupts")
+    __slots__ = ("gen", "name", "_target", "_interrupts", "_resume_cb")
 
     def __init__(
         self,
@@ -193,14 +177,23 @@ class Process(Event):
     ) -> None:
         if not hasattr(gen, "throw"):
             raise TypeError(f"process body must be a generator, got {gen!r}")
-        super().__init__(env)
+        # Event.__init__ and the Initialize event, inlined: processes are
+        # created per message.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._target: Event | None = None
         self._interrupts: list[Interrupt] = []
-        init = Initialize(env)
-        init.add_callback(self._resume)
-        self._target = init
+        self._resume_cb = resume = self._resume
+        init = _new_event(Initialize)
+        init.env = env
+        init.callbacks = [resume]
+        init._ok = True
+        init._value = None
+        env._ready.append(init)
+        self._target: Event | None = init
 
     @property
     def is_alive(self) -> bool:
@@ -208,30 +201,29 @@ class Process(Event):
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimError(f"cannot interrupt finished process {self.name}")
         self._interrupts.append(Interrupt(cause))
         target = self._target
-        if target is not None and not target.triggered:
+        if target is not None and target._value is _PENDING:
             # Detach from the waited-on event and wake immediately. The
             # callback must go too: if the old target triggers later (e.g. a
             # queued resource request cancelled by the dying process's own
             # finally-release), it would re-resume a finished process.
-            if target.callbacks is not None and self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
+            resume = self._resume_cb
+            if target.callbacks is not None and resume in target.callbacks:
+                target.callbacks.remove(resume)
             wakeup = Event(self.env)
             wakeup._ok = True
             wakeup._value = None
             self.env._schedule(wakeup)
-            wakeup.add_callback(self._resume)
+            wakeup.add_callback(resume)
             self._target = wakeup
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        if self.triggered:
+        if self._value is not _PENDING:
             return  # stale callback from an event this process detached from
-        env = self.env
-        env._active_process = self
         gen = self.gen
         while True:
             try:
@@ -243,50 +235,37 @@ class Process(Event):
                 else:
                     next_event = gen.throw(event._value)
             except StopIteration as stop:
-                env._active_process = None
                 self._ok = True
                 self._value = stop.value
-                env._seq += 1
-                heappush(env._heap, (env.now, env._seq, self))
-                return
-            except Interrupt as exc:
-                # An unhandled interrupt terminates the process "with cause".
-                env._active_process = None
-                self._ok = False
-                self._value = exc
-                env._seq += 1
-                heappush(env._heap, (env.now, env._seq, self))
-                return
+                break
             except BaseException as exc:
-                env._active_process = None
+                # Includes an unhandled Interrupt: the process terminates
+                # "with cause".
                 self._ok = False
                 self._value = exc
-                env._seq += 1
-                heappush(env._heap, (env.now, env._seq, self))
-                return
+                break
 
             # EAFP: everything yieldable has a ``callbacks`` slot; anything
             # else is a programming error surfaced as a SimError failure.
             try:
                 cbs = next_event.callbacks
             except AttributeError:
-                env._active_process = None
                 self._ok = False
                 self._value = SimError(
                     f"process {self.name!r} yielded non-event {next_event!r}"
                 )
-                env._seq += 1
-                heappush(env._heap, (env.now, env._seq, self))
-                return
+                break
 
             self._target = next_event
             if cbs is None:
                 # Already-processed events resume synchronously (loop again).
                 event = next_event
                 continue
-            cbs.append(self._resume)
-            env._active_process = None
+            cbs.append(self._resume_cb)
             return
+        # Finished: break the Process -> bound-method cycle, then trigger.
+        self._resume_cb = None
+        self.env._ready.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name} {'done' if self.triggered else 'alive'}>"
@@ -322,7 +301,7 @@ class Condition(Event):
             ev.add_callback(self._on_sub_event)
 
     def _on_sub_event(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             self.fail(event._value)

@@ -81,7 +81,9 @@ class Flow:
         # arms (re-rates churn timers far faster than flows are created, so
         # one closure per flow beats one per arm). Stale timers cannot fire
         # — arming always cancels the predecessor — and the callback checks
-        # timer identity anyway as a belt-and-braces guard.
+        # timer identity anyway as a belt-and-braces guard. The closure
+        # holds the flow, so a finished or aborted flow drops it: left set,
+        # every flow is a reference cycle only the cyclic GC can free.
         self.cb = None
 
 
@@ -203,6 +205,7 @@ class FluidNetwork:
             del self.flows[flow.fid]
             self._unlink(flow)
             self._cancel_timer(flow)  # a cancelled timer's callback never runs
+            flow.cb = None
             flow.done.fail(exc_factory())
         self._g_active.set(len(self.flows))
         if victims:
@@ -424,6 +427,7 @@ class FluidNetwork:
             return
         del self.flows[flow.fid]
         self._unlink(flow)
+        flow.cb = None  # see Flow.cb
         self.completed += 1
         self._g_active.set(len(self.flows))
         flow.done.succeed()

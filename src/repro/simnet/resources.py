@@ -14,7 +14,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Generator
 
 from repro.simnet.engine import SimEngine
-from repro.simnet.events import Event, SimError
+from repro.simnet.events import _PENDING, Event, SimError
 
 
 class StoreGet(Event):
@@ -108,28 +108,37 @@ class Store:
     def _dispatch(self) -> None:
         # Satisfy getters in FIFO order; a getter whose filter matches no
         # queued item stays pending without blocking later getters.
+        getters = self._getters
+        if not getters:
+            return
+        items = self.items
         progressed = True
         while progressed:
             progressed = False
-            for getter in list(self._getters):
-                if getter.triggered:
-                    self._getters.remove(getter)
+            for getter in list(getters):
+                if getter._value is not _PENDING:  # cancelled or failed
+                    getters.remove(getter)
                     progressed = True
                     continue
-                idx = self._find(getter.filter)
-                if idx is None:
-                    continue
-                item = self.items[idx]
-                del self.items[idx]
-                self._getters.remove(getter)
+                if getter.filter is None:
+                    if not items:
+                        continue
+                    item = items.popleft()
+                else:
+                    idx = self._find(getter.filter)
+                    if idx is None:
+                        continue
+                    item = items[idx]
+                    del items[idx]
+                getters.remove(getter)
                 getter.succeed(item)
                 progressed = True
                 # Space freed: admit a waiting putter.
-                while self._putters and len(self.items) < self.capacity:
+                while self._putters and len(items) < self.capacity:
                     put_ev, put_item = self._putters.popleft()
-                    self.items.append(put_item)
+                    items.append(put_item)
                     put_ev.succeed()
-                if self.items:
+                if items:
                     self._wake_nonempty()
 
     def _find(self, filt: Callable[[Any], bool] | None) -> int | None:

@@ -184,15 +184,16 @@ class NetTrace:
     def record(
         self, model: WireModel, src: SimNode, dst: SimNode, nbytes: int, elapsed: float
     ) -> None:
-        stats = self.by_model.setdefault(model.name, OnlineStats())
+        name = model.name
+        stats = self.by_model.get(name)
+        if stats is None:
+            stats = self.by_model[name] = OnlineStats()
         stats.add(elapsed)
-        self.bytes_by_model[model.name] = (
-            self.bytes_by_model.get(model.name, 0) + nbytes
-        )
+        self.bytes_by_model[name] = self.bytes_by_model.get(name, 0) + nbytes
         for hook in self.hooks:
             hook(
                 {
-                    "model": model.name,
+                    "model": name,
                     "src": src.name,
                     "dst": dst.name,
                     "nbytes": nbytes,

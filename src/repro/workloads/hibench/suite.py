@@ -38,6 +38,7 @@ from repro.harness.profile import (
     ShuffleWriteStage,
     WorkloadProfile,
     _spread,
+    check_profile_args,
     scaled_read_matrices,
     spread_cpu,
 )
@@ -95,6 +96,12 @@ class HiBenchSpec:
         cores_per_executor: int | None = None,
         fidelity: float = 1.0,
     ) -> WorkloadProfile:
+        """Scale the spec to ``n_workers`` executors (see ``OhbWorkload``).
+
+        Raises ``ValueError`` for ``n_workers < 1``, a negative
+        ``nominal_bytes`` on the spec or ``fidelity`` outside (0, 1].
+        """
+        check_profile_args(n_workers, self.nominal_bytes, fidelity)
         costs = COSTS[self.name].scaled_to_clock(system.clock_ghz)
         cores = cores_per_executor or system.threads_per_node
         if system.hyperthreading and cores > system.cores_per_node:

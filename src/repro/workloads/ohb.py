@@ -27,6 +27,7 @@ from repro.harness.profile import (
     ShuffleWriteStage,
     WorkloadProfile,
     _spread,
+    check_profile_args,
     measured_cv,
     scaled_read_matrices,
     spread_cpu,
@@ -138,8 +139,10 @@ class OhbWorkload:
         ``fidelity`` < 1 reduces the simulated task count (keeping total
         bytes/records constant) to trade event-level detail for runtime;
         stage *times* stay calibrated because per-task work scales up
-        accordingly.
+        accordingly. Raises ``ValueError`` for ``n_workers < 1``, negative
+        ``nominal_bytes`` or ``fidelity`` outside (0, 1].
         """
+        check_profile_args(n_workers, nominal_bytes, fidelity)
         costs = self.costs.scaled_to_clock(system.clock_ghz)
         cores = cores_per_executor or system.threads_per_node
         total_cores = n_workers * cores

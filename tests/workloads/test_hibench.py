@@ -135,6 +135,25 @@ class TestHiBenchProfiles:
         t_no = no_ht.stages[1].seconds_per_task.mean() * 48
         assert t_ht > t_no  # HT thread-seconds exceed core-seconds
 
+    @pytest.mark.parametrize(
+        "n_workers, fidelity, param",
+        [
+            (16, 0.0, "fidelity"),
+            (16, 1.01, "fidelity"),
+            (0, 0.25, "n_workers"),
+        ],
+    )
+    def test_invalid_inputs_rejected_at_the_boundary(self, n_workers, fidelity, param):
+        with pytest.raises(ValueError, match=param):
+            SPECS["TeraSort"].build_profile(FRONTERA, n_workers, fidelity=fidelity)
+
+    def test_negative_nominal_bytes_rejected(self):
+        import dataclasses
+
+        spec = dataclasses.replace(SPECS["TeraSort"], nominal_bytes=-1)
+        with pytest.raises(ValueError, match="nominal_bytes"):
+            spec.build_profile(FRONTERA, 16, fidelity=0.25)
+
     def test_terasort_has_hdfs_output(self):
         prof = SPECS["TeraSort"].build_profile(FRONTERA, 16, fidelity=0.25)
         assert prof.stages[-1].label == "JobN-HdfsOutputStage"

@@ -91,6 +91,27 @@ class TestProfiles:
         assert t_folded == pytest.approx(t_full, rel=0.05)
         assert folded.stages[0].n_tasks == full.stages[0].n_tasks // 4
 
+    @pytest.mark.parametrize(
+        "n_workers, nbytes, fidelity, param",
+        [
+            (8, -1, 0.25, "nominal_bytes"),
+            (8, 112 * GiB, 0.0, "fidelity"),
+            (8, 112 * GiB, -0.5, "fidelity"),
+            (8, 112 * GiB, 1.5, "fidelity"),
+            (0, 112 * GiB, 0.25, "n_workers"),
+            (-2, 112 * GiB, 0.25, "n_workers"),
+        ],
+    )
+    def test_invalid_inputs_rejected_at_the_boundary(
+        self, n_workers, nbytes, fidelity, param
+    ):
+        with pytest.raises(ValueError, match=param):
+            GROUP_BY.build_profile(FRONTERA, n_workers, nbytes, fidelity=fidelity)
+
+    def test_boundary_inputs_accepted(self):
+        prof = GROUP_BY.build_profile(FRONTERA, 1, 0, fidelity=1.0)
+        assert prof.n_executors == 1
+
     def test_tasks_scale_with_cores(self):
         prof = GROUP_BY.build_profile(FRONTERA, 8, 112 * GiB)
         assert prof.stages[0].n_tasks == 8 * 56
