@@ -1,15 +1,19 @@
 """Spark-side recovery: task retry, stage resubmission, blacklisting.
 
-:class:`ResilientScheduler` is a fault-tolerant replacement for
-``SparkSimCluster.run_profile``. It runs the same workload stages but
-supervises every task: a task that dies with its executor is retried (with
-backoff) on a survivor; a reduce task whose fetch fails raises
-``FetchFailedException``, which — exactly as in Spark's DAGScheduler —
-marks the source executor's map output lost, recomputes those map tasks on
-survivors, redistributes the shuffle matrix, and resubmits only the
-unfinished reduce tasks. Dead executors are blacklisted so retries never
-land on them. Optional speculative execution races a second copy of
-stragglers.
+:class:`ResilientScheduler` is a fault-tolerant driver for a
+:class:`~repro.spark.deploy.SparkSimCluster`. It is a recovery policy, not
+a second executor: every task attempt runs the cluster's own task body
+(:meth:`SimExecutor.run_task <repro.spark.deploy.SimExecutor.run_task>`),
+and the run shares the cluster's prologue (``RunResult``, ``run.meta``,
+one ``stage.start``/``stage.finish`` pair per stage spanning all of its
+attempts). What it adds is supervision: a task that dies with its executor
+is retried (with backoff) on a survivor; a reduce task whose fetch fails
+raises ``FetchFailedException``, which — exactly as in Spark's
+DAGScheduler — marks the source executor's map output lost, recomputes
+those map tasks on survivors, redistributes the shuffle matrix, and
+resubmits only the unfinished reduce tasks. Dead executors are blacklisted
+so retries never land on them. Optional speculative execution races a
+second copy of stragglers.
 
 What it deliberately does *not* do is reach below the Spark layer: if the
 transport underneath cannot survive a fault (MPI in world-abort mode),
@@ -19,19 +23,12 @@ under identical fault plans is the experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.harness.profile import (
-    RAMDISK_READ_BPS,
-    RAMDISK_WRITE_BPS,
-    TASK_SCHED_DELAY_S,
-    ComputeStage,
-    ShuffleReadStage,
-    ShuffleWriteStage,
-)
+from repro.harness.profile import ShuffleReadStage, ShuffleWriteStage, task_cost
 from repro.mpi.errors import WorldAbortedError
-from repro.simnet.events import Interrupt, SimError
+from repro.simnet.events import Interrupt
 from repro.spark.deploy import RunResult, SimExecutor
 from repro.spark.network import FetchFailedException
 
@@ -151,21 +148,7 @@ class ResilientScheduler:
         self, profile: "WorkloadProfile", deadline_s: float | None = None
     ) -> RunResult:
         sim = self.sim
-        if not sim._launched:
-            sim.launch()
-        if profile.n_executors != sim.n_workers:
-            raise ValueError(
-                f"profile built for {profile.n_executors} executors, "
-                f"cluster has {sim.n_workers}"
-            )
-        result = RunResult(
-            workload=profile.name,
-            transport=sim.transport.name,
-            system=sim.system.name,
-            n_workers=sim.n_workers,
-            total_cores=sim.n_workers * sim.cores_per_executor,
-            launch_seconds=sim.launch_seconds,
-        )
+        result = sim._open_run(profile)
         env = sim.env
         job = env.process(self._run_job(profile, result), name="driver-job")
         if deadline_s is None:
@@ -174,16 +157,14 @@ class ResilientScheduler:
             env.run(until=env.any_of([job, env.timeout(deadline_s)]))
             if not job.triggered:
                 raise JobFailedError(f"job exceeded deadline of {deadline_s:g}s")
-        return result
+        return sim._close_run(result)
 
     def _run_job(self, profile: "WorkloadProfile", result: RunResult) -> Generator:
-        env = self.sim.env
         for stage in profile.stages:
             if self.on_stage_start is not None:
                 self.on_stage_start(stage)
-            t0 = env.now
-            yield from self._run_stage(stage)
-            result.stage_seconds[stage.label] = env.now - t0
+            with self.sim._stage_scope(stage, result):
+                yield from self._run_stage(stage)
 
     # -- stage machinery ----------------------------------------------------
     def _run_stage(self, stage: "Stage") -> Generator:
@@ -277,9 +258,12 @@ class ResilientScheduler:
                 for t in range(self._last_write.n_tasks)
                 if (t % n_exec) in lost
             ]
+            write = self._last_write
             procs = [
                 env.process(
-                    self._task_body(survivors[i % len(survivors)], self._last_write, t),
+                    survivors[i % len(survivors)].run_task(
+                        write, t, f"{write.label}-task{t}"
+                    ),
                     name=f"map-redo-{t}",
                 )
                 for i, t in enumerate(redo)
@@ -330,7 +314,7 @@ class ResilientScheduler:
                 raise JobFailedError("no live executors left")
             t0 = env.now
             proc = env.process(
-                self._task_body(ex, stage, t), name=f"{stage.label}-t{t}f{failures}"
+                self._attempt(ex, stage, t), name=f"{stage.label}-t{t}f{failures}"
             )
             self._running[proc] = ex
             outcome = yield from self._await_task(proc, ex, stage, t, durations)
@@ -375,7 +359,7 @@ class ResilientScheduler:
                     ex2 = self._pick_executor(t, exclude=ex)
                     if ex2 is not None:
                         copy = env.process(
-                            self._task_body(ex2, stage, t),
+                            self._attempt(ex2, stage, t),
                             name=f"{stage.label}-t{t}spec",
                         )
                         self._running[copy] = ex2
@@ -407,75 +391,25 @@ class ResilientScheduler:
     ) -> float | None:
         """Spark's rule: once a quantile of tasks finished, a task running
         longer than multiplier × median is a straggler. Before enough
-        history exists, fall back on the task's nominal duration."""
+        history exists, fall back on the task's nominal duration (none for
+        read tasks: their fetch time dominates and is not nominal)."""
         if not self.policy.speculation:
             return None
+        cost = task_cost(stage, t, self.sim.transport.compute_inflation)
         need = max(1, int(self.policy.speculation_quantile * stage.n_tasks))
         if len(durations) >= need:
             median = sorted(durations)[len(durations) // 2]
-            return max(self.policy.speculation_multiplier * median, TASK_SCHED_DELAY_S)
-        nominal = self._nominal_seconds(stage, t)
-        if nominal is None or nominal <= 0:
+            return max(self.policy.speculation_multiplier * median, cost.sched_s)
+        if isinstance(stage, ShuffleReadStage):
             return None
-        return self.policy.speculation_multiplier * nominal + TASK_SCHED_DELAY_S
+        nominal = cost.compute_s + cost.write_s
+        if nominal <= 0:
+            return None
+        return self.policy.speculation_multiplier * nominal + cost.sched_s
 
-    def _nominal_seconds(self, stage: "Stage", t: int) -> float | None:
-        infl = self.sim.transport.compute_inflation
-        if isinstance(stage, ComputeStage):
-            return float(stage.seconds_per_task[t]) * infl
-        if isinstance(stage, ShuffleWriteStage):
-            return (
-                float(stage.seconds_per_task[t]) * infl
-                + float(stage.write_bytes_per_task[t]) / RAMDISK_WRITE_BPS
-            )
-        return None  # read tasks: fetch time dominates and is not nominal
-
-    # -- the task bodies (fault-aware variants of SimExecutor.run_*) --------
-    def _task_body(self, ex: SimExecutor, stage: "Stage", t: int) -> Generator:
-        env = self.sim.env
-        infl = self.sim.transport.compute_inflation
-        req = ex.slots.request()
-        try:
-            yield req
-            if isinstance(stage, ComputeStage):
-                yield env.timeout(
-                    TASK_SCHED_DELAY_S + float(stage.seconds_per_task[t]) * infl
-                )
-            elif isinstance(stage, ShuffleWriteStage):
-                yield env.timeout(
-                    TASK_SCHED_DELAY_S
-                    + float(stage.seconds_per_task[t]) * infl
-                    + float(stage.write_bytes_per_task[t]) / RAMDISK_WRITE_BPS
-                )
-            elif isinstance(stage, ShuffleReadStage):
-                yield env.timeout(TASK_SCHED_DELAY_S)
-                fetch_row = stage.fetch_bytes[t]
-                blocks_row = stage.blocks[t]
-                local = float(fetch_row[ex.exec_id])
-                if local > 0:
-                    ex.bytes_read_local += int(local)
-                    yield env.timeout(local / RAMDISK_READ_BPS)
-                if self._current_exchange is not None:
-                    # Collective transport: wait on the attempt's shared
-                    # exchange (dead participants fail it → FetchFailed).
-                    remote = float(fetch_row.sum() - fetch_row[ex.exec_id])
-                    yield from ex.collective_fetch(
-                        self._current_exchange, self.sim.executors, remote
-                    )
-                else:
-                    # Dead sources are NOT filtered here: fetching from them
-                    # is what raises FetchFailedException, triggering recovery.
-                    sources = [
-                        (src, int(fetch_row[src.exec_id]), int(blocks_row[src.exec_id]))
-                        for src in self.sim.executors
-                        if src.exec_id != ex.exec_id and fetch_row[src.exec_id] > 0
-                    ]
-                    yield from ex.fetch_shuffle(sources)
-                yield env.timeout(float(stage.combine_seconds_per_task[t]) * infl)
-            else:
-                raise TypeError(f"unknown stage type {type(stage)}")
-        finally:
-            try:
-                ex.slots.release(req)
-            except SimError:  # pragma: no cover - defensive
-                pass
+    def _attempt(self, ex: SimExecutor, stage: "Stage", t: int) -> Generator:
+        """One attempt of task ``t`` on ``ex``: the cluster's own task body,
+        on the current stage attempt's collective exchange (if any)."""
+        return ex.run_task(
+            stage, t, f"{stage.label}-task{t}", exchange=self._current_exchange
+        )

@@ -69,7 +69,7 @@ def run_ohb_cell(spec: tuple) -> Any:
 
     def _run():
         from repro.harness.experiments import _run_ohb
-        from repro.harness.systems import SYSTEMS
+        from repro.harness.systems import system_by_name
         from repro.workloads.ohb import GROUP_BY, SORT_BY
 
         workloads = {w.name: w for w in (GROUP_BY, SORT_BY)}
@@ -79,7 +79,7 @@ def run_ohb_cell(spec: tuple) -> Any:
             data_bytes,
             transport,
             fidelity,
-            system=SYSTEMS[system_name],
+            system=system_by_name(system_name),
             obs_causal=obs_causal,
         )
 
@@ -101,11 +101,11 @@ def run_hibench_cell(spec: tuple) -> Any:
 
     def _run():
         from repro.harness.experiments import HiBenchCell
-        from repro.harness.systems import SYSTEMS
+        from repro.harness.systems import system_by_name
         from repro.spark.deploy import SparkSimCluster
         from repro.workloads.hibench import SPECS
 
-        system = SYSTEMS[system_name]
+        system = system_by_name(system_name)
         sim = SparkSimCluster(system, n_workers, transport, cores_per_executor=cores)
         sim.launch()
         prof = SPECS[workload_name].build_profile(
@@ -134,7 +134,7 @@ def run_jobserver_cell(spec: tuple) -> Any:
     from repro.harness.runcache import get_or_run
 
     def _run():
-        from repro.harness.systems import SYSTEMS
+        from repro.harness.systems import system_by_name
         from repro.jobserver import SCHEDULERS, poisson_trace, run_trace
         from repro.spark.deploy import SparkSimCluster
 
@@ -148,7 +148,7 @@ def run_jobserver_cell(spec: tuple) -> Any:
             fidelity=fidelity,
         )
         sim = SparkSimCluster(
-            SYSTEMS[system_name],
+            system_by_name(system_name),
             n_workers,
             transport,
             cores_per_executor=cores,

@@ -16,6 +16,7 @@ paper's workloads:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +85,37 @@ class ShuffleReadStage:
 
 
 Stage = ComputeStage | ShuffleWriteStage | ShuffleReadStage
+
+
+class TaskCost(NamedTuple):
+    """The transport-independent seconds of one task.
+
+    A compute or map task runs ``sched_s + compute_s + write_s``; a reduce
+    task runs ``sched_s``, then its shuffle fetch, then ``compute_s`` (its
+    combine).
+    """
+
+    sched_s: float  # executor dispatch delay
+    compute_s: float  # inflated compute (gen/map) or combine (reduce)
+    write_s: float  # RAM-disk write of map output; 0 elsewhere
+
+
+def task_cost(
+    stage: Stage, t: int, inflation: float, write_bps: float = RAMDISK_WRITE_BPS
+) -> TaskCost:
+    """Cost of task ``t`` of ``stage`` under a transport's compute inflation."""
+    if isinstance(stage, ShuffleReadStage):
+        combine = float(stage.combine_seconds_per_task[t]) * inflation
+        return TaskCost(TASK_SCHED_DELAY_S, combine, 0.0)
+    if isinstance(stage, ShuffleWriteStage):
+        write = float(stage.write_bytes_per_task[t]) / write_bps
+    elif isinstance(stage, ComputeStage):
+        write = 0.0
+    else:
+        raise TypeError(f"unknown stage type {type(stage)}")
+    return TaskCost(
+        TASK_SCHED_DELAY_S, float(stage.seconds_per_task[t]) * inflation, write
+    )
 
 
 @dataclass

@@ -73,3 +73,11 @@ INTERNAL_CLUSTER = SystemConfig(
 )
 
 SYSTEMS = {s.name: s for s in (FRONTERA, STAMPEDE2, INTERNAL_CLUSTER)}
+
+
+def system_by_name(name: str) -> SystemConfig:
+    """Look up a Table III system by name, ignoring case."""
+    for key, system in SYSTEMS.items():
+        if key.lower() == name.lower():
+            return system
+    raise ValueError(f"unknown system {name!r}; known systems: {', '.join(SYSTEMS)}")

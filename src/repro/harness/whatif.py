@@ -75,12 +75,12 @@ def run_whatif_truth_cell(spec: tuple) -> tuple[float, dict[str, float], float]:
     ) = spec
     import repro.core.mpi_netty as mpi_netty
     import repro.spark.deploy as deploy
-    from repro.harness.systems import SYSTEMS
+    from repro.harness.systems import system_by_name
     from repro.spark.deploy import SparkSimCluster
     from repro.workloads.ohb import GROUP_BY, SORT_BY
 
     workloads = {w.name: w for w in (GROUP_BY, SORT_BY)}
-    system = perturbed_system(SYSTEMS[system_name], link_rate)
+    system = perturbed_system(system_by_name(system_name), link_rate)
 
     saved = (
         mpi_netty.SELECT_NOW_COST_S,

@@ -57,12 +57,6 @@ class SparkConf(Config):
             merged.update(values)
         super().__init__(merged)
 
-    def set_app_name(self, name: str) -> "SparkConf":
-        return self.set("spark.app.name", name)  # type: ignore[return-value]
-
-    def set_master(self, master: str) -> "SparkConf":
-        return self.set("spark.master", master)  # type: ignore[return-value]
-
     @property
     def app_name(self) -> str:
         return str(self.get("spark.app.name"))

@@ -20,8 +20,9 @@ channels to the intercommunicator.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Iterator
 
 import numpy as np
 
@@ -30,11 +31,11 @@ from repro.core.handshake import HandshakeError
 from repro.harness.profile import (
     RAMDISK_READ_BPS,
     RAMDISK_WRITE_BPS,
-    TASK_SCHED_DELAY_S,
-    ComputeStage,
     ShuffleReadStage,
     ShuffleWriteStage,
+    Stage,
     WorkloadProfile,
+    task_cost,
 )
 from repro.harness.systems import SystemConfig
 from repro.mpi.dpm import SpawnSpec
@@ -415,152 +416,115 @@ class SimExecutor:
         causal.event("task.start", ctx, task=label, exec=self.exec_id)
         return ctx
 
-    def run_compute_task(
-        self, seconds: float, label: str = "compute", app: AppHandle | None = None
-    ) -> Generator:
-        tm = self._metrics_for(app)
-        gated = app is not None and app.gate is not None
-        if gated:
-            yield app.gate.request()
-        req = self.slots.request()
-        yield req
-        try:
-            ctx = self._task_start(label)
-            with self.sim.env.tracer.span(
-                label, cat="task", track=f"exec{self.exec_id}"
-            ):
-                compute = seconds * self.sim.transport.compute_inflation
-                yield self.sim.env.timeout(TASK_SCHED_DELAY_S + compute)
-                tm.compute.inc(compute)
-                tm.tasks.inc()
-            if ctx is not None:
-                self.sim.env.causal.event(
-                    "task.finish", ctx,
-                    task=label, exec=self.exec_id, compute_s=compute,
-                )
-        finally:
-            self.slots.release(req)
-            if gated:
-                app.gate.release()
-
-    def run_write_task(
+    def run_task(
         self,
-        seconds: float,
-        write_bytes: float,
-        label: str = "write",
-        app: AppHandle | None = None,
-    ) -> Generator:
-        tm = self._metrics_for(app)
-        gated = app is not None and app.gate is not None
-        if gated:
-            yield app.gate.request()
-        req = self.slots.request()
-        yield req
-        try:
-            ctx = self._task_start(label)
-            with self.sim.env.tracer.span(
-                label, cat="task", track=f"exec{self.exec_id}"
-            ):
-                compute = seconds * self.sim.transport.compute_inflation
-                write = write_bytes / RAMDISK_WRITE_BPS
-                yield self.sim.env.timeout(TASK_SCHED_DELAY_S + compute + write)
-                tm.compute.inc(compute)
-                tm.write.inc(write)
-                tm.tasks.inc()
-            if ctx is not None:
-                self.sim.env.causal.event(
-                    "task.finish", ctx,
-                    task=label, exec=self.exec_id,
-                    compute_s=compute, write_s=write,
-                )
-        finally:
-            self.slots.release(req)
-            if gated:
-                app.gate.release()
-
-    def run_read_task(
-        self,
-        fetch_bytes: np.ndarray,
-        blocks: np.ndarray,
-        combine_seconds: float,
-        label: str = "read",
+        stage: Stage,
+        t: int,
+        label: str,
         app: AppHandle | None = None,
         peers: "list[SimExecutor] | None" = None,
         col: int | None = None,
         rot: int | None = None,
         exchange=None,
     ) -> Generator:
-        """One reduce task: local read + windowed remote fetch + combine.
+        """Run task ``t`` of ``stage`` in one of this executor's slots.
 
-        ``peers``/``col`` define the shuffle geometry: ``fetch_bytes[i]``
-        is the traffic sourced from ``peers[i]``, and column ``col`` is
-        this task's local read. The defaults (whole cluster, own exec id)
-        are the single-application geometry; a packed multi-tenant app
-        passes its granted executor subset instead.
+        A compute or map task holds its slot for dispatch, compute and (map
+        side) the RAM-disk write of its output. A reduce task reads its
+        local blocks, fetches the rest through the transport under test,
+        then combines.
+
+        ``peers``/``col`` define a reduce task's shuffle geometry:
+        ``fetch_bytes[t, i]`` is the traffic sourced from ``peers[i]``, and
+        column ``col`` is this task's local read. The defaults (whole
+        cluster, own exec id) are the single-application geometry; a
+        packed multi-tenant app passes its granted executor subset instead.
 
         ``exchange`` (collective transports only) is the stage boundary's
         shared :class:`CollectiveShuffleExchange`: instead of issuing
         per-block fetches, the task waits on it — its fetch-wait is the
         time until the stage's one alltoallv completes.
+
+        The slot request is released even when the task is interrupted
+        while still queued for it: the recovery scheduler abandons
+        attempts on lost executors that way.
         """
         if peers is None:
             peers = self.sim.executors
         if col is None:
             col = self.exec_id
+        env = self.sim.env
+        cost = task_cost(
+            stage, t, self.sim.transport.compute_inflation, RAMDISK_WRITE_BPS
+        )
         tm = self._metrics_for(app)
         gated = app is not None and app.gate is not None
         if gated:
             yield app.gate.request()
         req = self.slots.request()
-        yield req
         try:
+            yield req
             ctx = self._task_start(label)
-            with self.sim.env.tracer.span(
+            with env.tracer.span(
                 label, cat="task", track=f"exec{self.exec_id}"
             ) as span:
-                yield self.sim.env.timeout(TASK_SCHED_DELAY_S)
-                # Fetch wait mirrors Spark's shuffle-read "fetch wait time":
-                # everything between scheduling and the first combine byte.
-                t_fetch = self.sim.env.now
-                # Local blocks: straight off the RAM disk.
-                local = float(fetch_bytes[col])
-                local_read = 0.0
-                if local > 0:
-                    self.bytes_read_local += int(local)
-                    tm.local_bytes.inc(local)
-                    local_read = local / RAMDISK_READ_BPS
-                    yield self.sim.env.timeout(local_read)
-                # Remote blocks: through the transport under test.
-                if exchange is not None:
-                    remote = float(
-                        sum(fetch_bytes[i] for i in range(len(peers)) if i != col)
-                    )
-                    yield from self.collective_fetch(
-                        exchange, peers, remote, app=app
-                    )
+                if not isinstance(stage, ShuffleReadStage):
+                    yield env.timeout(cost.sched_s + cost.compute_s + cost.write_s)
+                    tm.compute.inc(cost.compute_s)
+                    finish = {"compute_s": cost.compute_s}
+                    if isinstance(stage, ShuffleWriteStage):
+                        tm.write.inc(cost.write_s)
+                        finish["write_s"] = cost.write_s
                 else:
-                    sources = [
-                        (src, int(fetch_bytes[i]), int(blocks[i]))
-                        for i, src in enumerate(peers)
-                        if i != col and fetch_bytes[i] > 0
-                    ]
-                    yield from self.fetch_shuffle(
-                        sources, trace_parent=ctx, app=app, rot=rot
-                    )
-                fetch_wait = self.sim.env.now - t_fetch
-                tm.fetch_wait.inc(fetch_wait)
-                tm.h_fetch_wait.observe(fetch_wait)
-                combine = combine_seconds * self.sim.transport.compute_inflation
-                yield self.sim.env.timeout(combine)
-                tm.combine.inc(combine)
+                    fetch_bytes = stage.fetch_bytes[t]
+                    yield env.timeout(cost.sched_s)
+                    # Fetch wait mirrors Spark's shuffle-read "fetch wait
+                    # time": everything between scheduling and the first
+                    # combine byte.
+                    t_fetch = env.now
+                    # Local blocks: straight off the RAM disk.
+                    local = float(fetch_bytes[col])
+                    local_read = 0.0
+                    if local > 0:
+                        self.bytes_read_local += int(local)
+                        tm.local_bytes.inc(local)
+                        local_read = local / RAMDISK_READ_BPS
+                        yield env.timeout(local_read)
+                    # Remote blocks: through the transport under test. Dead
+                    # sources are not filtered: fetching from one raises
+                    # FetchFailedException, the recovery trigger.
+                    if exchange is not None:
+                        remote = float(
+                            sum(fetch_bytes[i] for i in range(len(peers)) if i != col)
+                        )
+                        yield from self.collective_fetch(
+                            exchange, peers, remote, app=app
+                        )
+                    else:
+                        blocks = stage.blocks[t]
+                        sources = [
+                            (src, int(fetch_bytes[i]), int(blocks[i]))
+                            for i, src in enumerate(peers)
+                            if i != col and fetch_bytes[i] > 0
+                        ]
+                        yield from self.fetch_shuffle(
+                            sources, trace_parent=ctx, app=app, rot=rot
+                        )
+                    fetch_wait = env.now - t_fetch
+                    tm.fetch_wait.inc(fetch_wait)
+                    tm.h_fetch_wait.observe(fetch_wait)
+                    yield env.timeout(cost.compute_s)
+                    tm.combine.inc(cost.compute_s)
+                    span.annotate(fetch_wait_s=fetch_wait, combine_s=cost.compute_s)
+                    finish = {
+                        "fetch_wait_s": fetch_wait,
+                        "combine_s": cost.compute_s,
+                        "local_s": local_read,
+                    }
                 tm.tasks.inc()
-                span.annotate(fetch_wait_s=fetch_wait, combine_s=combine)
             if ctx is not None:
-                self.sim.env.causal.event(
-                    "task.finish", ctx,
-                    task=label, exec=self.exec_id,
-                    fetch_wait_s=fetch_wait, combine_s=combine,
-                    local_s=local_read,
+                env.causal.event(
+                    "task.finish", ctx, task=label, exec=self.exec_id, **finish
                 )
         finally:
             self.slots.release(req)
@@ -619,6 +583,14 @@ class SparkSimCluster:
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
+        if cores_per_executor is not None and cores_per_executor < 1:
+            raise ValueError(
+                f"cores_per_executor must be >= 1, got {cores_per_executor}"
+            )
+        if mpi_fault_mode not in ("abort", "shrink"):
+            raise ValueError(
+                f"mpi_fault_mode must be 'abort' or 'shrink', got {mpi_fault_mode!r}"
+            )
         self.system = system
         self.n_workers = n_workers
         self.io_threads = io_threads
@@ -647,7 +619,9 @@ class SparkSimCluster:
             transport_name, self.env, self.cluster, loaded=True,
             fault_mode=mpi_fault_mode,
         )
-        self.cores_per_executor = cores_per_executor or system.threads_per_node
+        self.cores_per_executor = (
+            system.threads_per_node if cores_per_executor is None else cores_per_executor
+        )
         self.executors: list[SimExecutor] = []
         self.launch_seconds = 0.0
         self._launched = False
@@ -814,13 +788,6 @@ class SparkSimCluster:
             self._task_metric_bundles[namespace] = bundle
         return bundle
 
-    @property
-    def total_task_slots(self) -> int:
-        """Sum of effective (post-polling-tax) task slots across executors."""
-        if not self._launched:
-            self.launch()
-        return sum(ex.slots.capacity for ex in self.executors)
-
     def register_app(
         self,
         app_id: int,
@@ -907,6 +874,18 @@ class SparkSimCluster:
 
     # -- profile execution -------------------------------------------------------
     def run_profile(self, profile: WorkloadProfile) -> RunResult:
+        result = self._open_run(profile)
+        for stage in profile.stages:
+            with self._stage_scope(stage, result):
+                self.env.run(until=self.env.all_of(self._spawn_stage_tasks(stage)))
+        return self._close_run(result)
+
+    def _open_run(self, profile: WorkloadProfile) -> RunResult:
+        """Launch if needed, check the profile's geometry and start a run.
+
+        Shared by :meth:`run_profile` and the fault-tolerant driver
+        (:class:`~repro.faults.recovery.ResilientScheduler`).
+        """
         if not self._launched:
             self.launch()
         if profile.n_executors != self.n_workers:
@@ -946,24 +925,31 @@ class SparkSimCluster:
                 n_tasks=sum(s.n_tasks for s in profile.stages),
                 compute_inflation=float(self.transport.compute_inflation),
             )
-        for stage in profile.stages:
-            t0 = self.env.now
-            causal.event("stage.start", None, stage=stage.label, n_tasks=stage.n_tasks)
-            with self.env.tracer.span(
-                stage.label, cat="stage", track="driver", n_tasks=stage.n_tasks
-            ):
-                tasks = self._spawn_stage_tasks(stage)
-                finished = self.env.all_of(tasks)
-                self.env.run(until=finished)
-            result.stage_seconds[stage.label] = self.env.now - t0
-            causal.event(
-                "stage.finish", None,
-                stage=stage.label, seconds=result.stage_seconds[stage.label],
-            )
+        return result
+
+    @contextmanager
+    def _stage_scope(self, stage: Stage, result: RunResult) -> Iterator[None]:
+        """Time one stage (all its attempts) into ``result``, with its
+        ``stage.start``/``stage.finish`` pair and driver trace span."""
+        env = self.env
+        t0 = env.now
+        env.causal.event("stage.start", None, stage=stage.label, n_tasks=stage.n_tasks)
+        with env.tracer.span(
+            stage.label, cat="stage", track="driver", n_tasks=stage.n_tasks
+        ):
+            yield
+        result.stage_seconds[stage.label] = env.now - t0
+        env.causal.event(
+            "stage.finish", None,
+            stage=stage.label, seconds=result.stage_seconds[stage.label],
+        )
+
+    def _close_run(self, result: RunResult) -> RunResult:
+        """Attach the end-of-run metrics snapshot and flight recording."""
         if self.obs_enabled:
             result.metrics = self.env.metrics.snapshot()
-        if causal.enabled:
-            result.flight = causal.flight
+        if self.env.causal.enabled:
+            result.flight = self.env.causal.flight
         return result
 
     def start_collective_exchange(
@@ -1021,39 +1007,18 @@ class SparkSimCluster:
         for t in range(stage.n_tasks):
             ex = executors[t % n_exec]
             task_label = f"{prefix}{stage.label}-task{t}"
-            if isinstance(stage, ComputeStage):
-                gen = ex.run_compute_task(
-                    float(stage.seconds_per_task[t]), label=task_label, app=app
-                )
-            elif isinstance(stage, ShuffleWriteStage):
-                gen = ex.run_write_task(
-                    float(stage.seconds_per_task[t]),
-                    float(stage.write_bytes_per_task[t]),
-                    label=task_label,
-                    app=app,
-                )
-            elif isinstance(stage, ShuffleReadStage):
-                # Per-app fetch rotation: a pure function of (app seed,
-                # stage, task), never of a shared mutable counter — one
-                # tenant's fetch order is interleaving-independent.
-                rot = (
-                    None
-                    if app is None
-                    else derive_seed(app.seed, "fetch", stage.label, t) % 65536
-                )
-                gen = ex.run_read_task(
-                    stage.fetch_bytes[t],
-                    stage.blocks[t],
-                    float(stage.combine_seconds_per_task[t]),
-                    label=task_label,
-                    app=app,
-                    peers=executors,
-                    col=t % n_exec,
-                    rot=rot,
-                    exchange=exchange,
-                )
-            else:
-                raise TypeError(f"unknown stage type {type(stage)}")
+            # Per-app fetch rotation: a pure function of (app seed, stage,
+            # task), never of a shared mutable counter — one tenant's fetch
+            # order is interleaving-independent.
+            rot = (
+                derive_seed(app.seed, "fetch", stage.label, t) % 65536
+                if app is not None and isinstance(stage, ShuffleReadStage)
+                else None
+            )
+            gen = ex.run_task(
+                stage, t, task_label, app=app, peers=executors,
+                col=t % n_exec, rot=rot, exchange=exchange,
+            )
             procs.append(self.env.process(gen, name=task_label))
         return procs
 

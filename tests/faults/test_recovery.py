@@ -173,3 +173,35 @@ class TestSpeculation:
         sched.run_profile(profile, deadline_s=60.0)
         sim.shutdown()
         assert report.speculative_launches == 0
+
+
+class TestSharedTaskBody:
+    """Fault-free, the recovery scheduler is the cluster's own driver: the
+    same task bodies, stage timings and task metrics."""
+
+    @staticmethod
+    def run(transport, resilient):
+        sim = make_sim(4, transport, seed=0)
+        sim.launch()
+        profile = make_chaos_profile(4, 4, 64 * MiB)
+        if resilient:
+            result = ResilientScheduler(sim).run_profile(profile, 60.0)
+        else:
+            result = sim.run_profile(profile)
+        counters = {
+            name: value
+            for name, value in sim.env.metrics.snapshot().counters.items()
+            if name.startswith("spark.scheduler.")
+        }
+        sim.shutdown()
+        return result, counters
+
+    @pytest.mark.parametrize(
+        "transport", ["nio", "rdma", "mpi-basic", "mpi-opt", "mpi-coll"]
+    )
+    def test_fault_free_run_matches_cluster_driver(self, transport):
+        plain, plain_counters = self.run(transport, resilient=False)
+        resilient, resilient_counters = self.run(transport, resilient=True)
+        assert resilient.stage_seconds == plain.stage_seconds
+        assert plain_counters["spark.scheduler.tasks_finished"] == 48
+        assert resilient_counters == plain_counters

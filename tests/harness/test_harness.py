@@ -23,7 +23,13 @@ from repro.harness.report import (
     render_ohb,
     render_table,
 )
-from repro.harness.systems import FRONTERA, INTERNAL_CLUSTER, STAMPEDE2, SYSTEMS
+from repro.harness.systems import (
+    FRONTERA,
+    INTERNAL_CLUSTER,
+    STAMPEDE2,
+    SYSTEMS,
+    system_by_name,
+)
 from repro.util.units import GiB, KiB, MiB
 from repro.workloads.ohb import GROUP_BY
 
@@ -41,6 +47,15 @@ class TestSystems:
 
     def test_registry(self):
         assert set(SYSTEMS) == {"Frontera", "Stampede2", "Internal Cluster"}
+
+    def test_lookup_ignores_case(self):
+        assert system_by_name("frontera") is FRONTERA
+        assert system_by_name("INTERNAL CLUSTER") is INTERNAL_CLUSTER
+        assert system_by_name("Stampede2") is STAMPEDE2
+
+    def test_unknown_system_lists_known_names(self):
+        with pytest.raises(ValueError, match="Frontera, Stampede2, Internal Cluster"):
+            system_by_name("summit")
 
 
 class TestProfileHelpers:

@@ -21,6 +21,7 @@ from repro.faults.recovery import JobFailedError, ResilientScheduler
 from repro.harness.profile import ShuffleReadStage
 from repro.harness.systems import INTERNAL_CLUSTER
 from repro.mpi.errors import MPIError
+from repro.obs.critpath import analyze
 from repro.simnet.events import SimError
 from repro.util.units import MiB
 
@@ -140,3 +141,37 @@ class TestShrinkRecovery:
     def test_run_scenario_accepts_obs_causal(self):
         report = run_scenario(traced_scenario("nio"))
         assert report.job_completed
+
+
+class TestRecoveredRunsAreAnalyzable:
+    """Recovery runs the cluster's own task bodies, so a chaos run that
+    completes carries the same task chains as a clean one."""
+
+    @pytest.fixture(scope="class", params=[("nio", "abort"), ("mpi-opt", "shrink")])
+    def recovered(self, request):
+        transport, mode = request.param
+        flight, failure = run_faulted(traced_scenario(transport, mode=mode))
+        assert failure is None
+        return flight, transport
+
+    def test_one_critical_path_per_stage(self, recovered):
+        flight, transport = recovered
+        report = analyze(flight, transport)
+        assert [p.stage for p in report.stages] == ["gen", "write", "read"]
+        finishes = {(ev.attrs["task"], ev.t) for ev in flight.named("task.finish")}
+        for path in report.stages:
+            assert path.task.startswith(f"{path.stage}-task")
+            assert (path.task, path.end_s) in finishes
+
+    def test_stage_events_span_all_attempts(self, recovered):
+        flight, _ = recovered
+        assert [ev.attrs["stage"] for ev in flight.named("stage.start")] == [
+            "gen", "write", "read",
+        ]
+        assert len(flight.named("stage.finish")) == 3
+        assert len(flight.named("run.meta")) == 1
+
+    def test_metric_deltas_count_extra_tasks(self):
+        report = run_scenario(traced_scenario("nio"))
+        assert report.job_completed
+        assert report.metric_deltas["spark.scheduler.tasks_finished"] > 0

@@ -57,6 +57,16 @@ class TestClusterBringUp:
         with pytest.raises(ValueError):
             SparkSimCluster(FRONTERA, 0, "nio")
 
+    @pytest.mark.parametrize("cores", [0, -2])
+    def test_invalid_cores_per_executor(self, cores):
+        with pytest.raises(ValueError, match="cores_per_executor"):
+            SparkSimCluster(FRONTERA, 2, "nio", cores_per_executor=cores)
+
+    @pytest.mark.parametrize("transport", ["nio", "rdma", "mpi-opt"])
+    def test_invalid_mpi_fault_mode(self, transport):
+        with pytest.raises(ValueError, match="mpi_fault_mode"):
+            SparkSimCluster(FRONTERA, 2, transport, mpi_fault_mode="bogus")
+
     def test_executor_placement_one_per_worker_node(self):
         sim = SparkSimCluster(FRONTERA, 3, "nio", cores_per_executor=4)
         sim.launch()
